@@ -39,6 +39,11 @@ cargo build --offline --release
 echo "== full test suite =="
 cargo test --offline -q --workspace
 
+echo "== benchmark self-test (perfbench builds against the current public API) =="
+# perfbench is its own Cargo workspace, so the workspace build above does not
+# compile it; this lane catches an API change that breaks the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== paper-scale ignored suites =="
 cargo test --offline -q --test platform_behavior --test race_freedom -- --ignored
 cargo test --offline -q --test schedule_matrix -- --ignored

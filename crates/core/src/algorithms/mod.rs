@@ -125,19 +125,6 @@ impl Builder {
         self.morton_scratch.as_ref().expect("MORTON scratch")
     }
 
-    /// Override the SPACE subdivision threshold (ablation studies).
-    pub fn with_space_threshold(mut self, threshold: usize) -> Builder {
-        self.space_threshold = threshold.max(1);
-        self
-    }
-
-    /// Override the SPACE cost-rebalance factor (`0.0` disables the extra
-    /// refinement round for costly subspaces).
-    pub fn with_space_rebalance(mut self, rebalance: f64) -> Builder {
-        self.space_rebalance = rebalance.max(0.0);
-        self
-    }
-
     /// Execute the tree-build phase for one processor. Internally barriers
     /// as the algorithm requires; the caller barriers once more afterwards.
     #[allow(clippy::too_many_arguments)]

@@ -6,21 +6,19 @@
 //!
 //! The step itself lives in [`crate::pipeline`] as an explicit stage list;
 //! this module owns the run-level protocol (warm-up vs. measured steps,
-//! validation, final snapshot) and the [`RunStats`] aggregation. Workers
-//! come from a [`WorkerPool`]; [`run_simulation`] spins up a throwaway pool,
-//! while [`crate::engine::SimEngine`] keeps pool and state alive across
-//! runs.
+//! validation, final snapshot) and the [`RunStats`] aggregation. Run state
+//! is allocated in one place, [`crate::engine::prepare`]; [`run_simulation`]
+//! pairs it with a throwaway [`WorkerPool`], while
+//! [`crate::engine::SimEngine`] keeps pool and state alive across runs.
 
 use crate::algorithms::{Algorithm, Builder};
 use crate::body::Body;
+use crate::engine::EngineState;
 use crate::env::{CtxStats, Env, Phase};
-use crate::force::{ForceParams, ForceScratch};
+use crate::force::ForceParams;
 use crate::harness::WorkerPool;
 use crate::pipeline::{StageIo, StepPipeline};
-use crate::tree::flat::FlatTree;
-use crate::tree::types::SharedTree;
 use crate::tree::validate::{validate_with, ValidateOpts};
-use crate::world::World;
 
 /// Full simulation configuration.
 #[derive(Debug, Clone)]
@@ -41,14 +39,14 @@ pub struct SimConfig {
     /// exceeds `factor * total_cost / P` is refined one extra round.
     /// `0.0` disables cost-triggered refinement.
     pub space_rebalance: f64,
-    /// Run the force phase over the flat tree snapshot (the fast path).
-    /// `false` keeps the recursive walk over the shared tree — the
-    /// pre-snapshot behavior, for ablations and equivalence tests.
+    /// Run the force phase as the batched kernel over the flat tree
+    /// snapshot (the fast path). `false` keeps the paper's recursive walk
+    /// over the shared tree, the reference for equivalence tests.
     pub flat_force: bool,
-    /// Bodies per interaction-list group in the batched force kernel.
-    /// `1` builds per-body lists (bitwise identical to the reference
-    /// walk); `0` is the legacy per-body walk without lists (ablation).
-    /// Ignored when `flat_force` is off.
+    /// Bodies per interaction-list group in the batched force kernel, in
+    /// `1..=`[`MAX_GROUP_SIZE`](crate::force::MAX_GROUP_SIZE) (the kernel
+    /// clamps other values). `1` builds per-body lists, bitwise identical
+    /// to the recursive walk. Ignored when `flat_force` is off.
     pub group_size: usize,
     /// Morton-reorder each zone's bodies every this many steps (including
     /// step 0); `0` disables the pass.
@@ -140,7 +138,7 @@ pub struct ProcRecord {
     /// measured steps (nonzero only for MORTON).
     pub sort_time: u64,
     /// Interaction-list group traversals the batched force kernel performed
-    /// during measured steps (zero for the per-body ablations).
+    /// during measured steps (zero for the recursive walk).
     pub force_groups: u64,
     /// Interaction-list entries the batched force kernel emitted during
     /// measured steps.
@@ -349,7 +347,7 @@ impl RunStats {
 
     /// Interaction-list group traversals performed by the batched force
     /// kernel over all processors and measured steps (zero for the
-    /// per-body ablations).
+    /// recursive walk).
     pub fn force_groups(&self) -> u64 {
         self.procs_records.iter().map(|r| r.force_groups).sum()
     }
@@ -459,7 +457,7 @@ pub fn percentile_f64(values: &[f64], p: f64) -> f64 {
 
 /// Run the complete application on `env` and return per-processor records.
 pub fn run_simulation<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> RunStats {
-    run_inner(env, cfg, bodies).0
+    run_simulation_with_state(env, cfg, bodies).0
 }
 
 /// Run the application and also return the final body state (for examples
@@ -469,52 +467,26 @@ pub fn run_simulation_with_state<E: Env>(
     cfg: &SimConfig,
     bodies: &[Body],
 ) -> (RunStats, Vec<Body>) {
-    run_inner(env, cfg, bodies)
-}
-
-fn run_inner<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Vec<Body>) {
-    let n = bodies.len();
-    let world = World::new(env, bodies);
-    let tree = SharedTree::new(env, n, cfg.k, cfg.algorithm.layout());
-    let mut builder = Builder::new(env, cfg.algorithm, n, cfg.k);
-    if let Some(t) = cfg.space_threshold {
-        builder = builder.with_space_threshold(t);
-    }
-    builder = builder.with_space_rebalance(cfg.space_rebalance);
-    let flat = cfg
-        .flat_force
-        .then(|| FlatTree::new(env, n, cfg.k, cfg.algorithm.layout()));
-    let force_scratch = flat
-        .as_ref()
-        .map(|f| ForceScratch::new(env, f, n, env.num_procs()));
+    let mut slot = None;
+    let (state, builder) = crate::engine::prepare(env, &mut slot, cfg, bodies);
     let pool = WorkerPool::new(env.num_procs());
-    execute(
-        env,
-        &pool,
-        cfg,
-        &world,
-        &tree,
-        flat.as_ref(),
-        force_scratch.as_ref(),
-        &builder,
-    )
+    execute(env, &pool, cfg, state, builder)
 }
 
-/// Run the warm-up + measured protocol over already-allocated state and
-/// return the run's statistics plus the final body snapshot. This is the
-/// single execution path shared by the one-shot [`run_simulation`] entry
-/// points and the state-reusing [`crate::engine::SimEngine`].
-#[allow(clippy::too_many_arguments)]
+/// Run the warm-up + measured protocol over state from
+/// [`crate::engine::prepare`] and return the run's statistics plus the
+/// final body snapshot. This is the single execution path shared by the
+/// one-shot [`run_simulation`] entry points and the state-reusing
+/// [`crate::engine::SimEngine`].
 pub(crate) fn execute<E: Env>(
     env: &E,
     pool: &WorkerPool,
     cfg: &SimConfig,
-    world: &World,
-    tree: &SharedTree,
-    flat: Option<&FlatTree>,
-    force_scratch: Option<&ForceScratch>,
+    state: &EngineState,
     builder: &Builder,
 ) -> (RunStats, Vec<Body>) {
+    let (world, tree) = (&state.world, &state.tree);
+    let (flat, force_scratch) = (state.flat.as_ref(), state.force_scratch.as_ref());
     let total_steps = cfg.warmup_steps + cfg.measured_steps;
     // Positions as of the last tree build, captured for validation (the
     // final update phase moves bodies after the tree was summarized).

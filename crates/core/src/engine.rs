@@ -1,10 +1,13 @@
-//! A persistent simulation engine: one worker pool plus reusable run state.
+//! Run state and the persistent simulation engine.
 //!
-//! [`crate::app::run_simulation`] pays the full setup cost on every call —
-//! threads spawned and joined, `World`/`SharedTree`/`FlatTree` allocated
-//! from scratch. That is fine for a single run but dominates short runs in
-//! an experiment sweep, where hundreds of jobs share the same body count
-//! and leaf threshold. `SimEngine` keeps both alive:
+//! [`prepare`] is the one place a run's shared state is allocated and its
+//! builder configured. [`crate::app::run_simulation`] calls it with an
+//! empty slot and a throwaway worker pool, so it pays the full setup cost
+//! on every call — threads spawned and joined, `World`/`SharedTree`/
+//! `FlatTree` allocated from scratch. That is fine for a single run but
+//! dominates short runs in an experiment sweep, where hundreds of jobs
+//! share the same body count and leaf threshold. `SimEngine` keeps both
+//! alive:
 //!
 //! - the [`WorkerPool`] is created once and parks between jobs;
 //! - the shared state is `reset()` (not reallocated) whenever the next
@@ -31,20 +34,111 @@ use crate::tree::types::{SharedTree, TreeLayout};
 use crate::world::World;
 
 /// The allocation-shape key plus the allocations themselves.
-struct EngineState {
+pub(crate) struct EngineState {
     n: usize,
     k: usize,
     layout: TreeLayout,
     has_flat: bool,
-    world: World,
-    tree: SharedTree,
-    flat: Option<FlatTree>,
+    pub(crate) world: World,
+    pub(crate) tree: SharedTree,
+    pub(crate) flat: Option<FlatTree>,
     /// Interaction-list scratch for the batched force kernel; allocated
     /// with (and shaped like) the flat snapshot.
-    force_scratch: Option<ForceScratch>,
+    pub(crate) force_scratch: Option<ForceScratch>,
     /// One builder per algorithm, kept because some algorithms (Update)
     /// own per-processor scratch arrays sized to `n`.
     builders: HashMap<Algorithm, Builder>,
+}
+
+impl EngineState {
+    /// Allocate the state for `cfg` over `bodies`, including the builder
+    /// for `cfg.algorithm`. The order is fixed — world, tree, builder, flat
+    /// snapshot, force scratch — because a simulated machine hands out
+    /// addresses in allocation order, and addresses decide cache and page
+    /// placement.
+    fn new<E: Env>(env: &E, cfg: &SimConfig, bodies: &[Body]) -> EngineState {
+        let n = bodies.len();
+        let layout = cfg.algorithm.layout();
+        let world = World::new(env, bodies);
+        let tree = SharedTree::new(env, n, cfg.k, layout);
+        let builders = HashMap::from([(cfg.algorithm, Builder::new(env, cfg.algorithm, n, cfg.k))]);
+        let flat = cfg.flat_force.then(|| FlatTree::new(env, n, cfg.k, layout));
+        let force_scratch = flat
+            .as_ref()
+            .map(|f| ForceScratch::new(env, f, n, env.num_procs()));
+        EngineState {
+            n,
+            k: cfg.k,
+            layout,
+            has_flat: cfg.flat_force,
+            world,
+            tree,
+            flat,
+            force_scratch,
+            builders,
+        }
+    }
+
+    /// Whether a job of `cfg` over `n` bodies can run on this allocation.
+    fn fits(&self, cfg: &SimConfig, n: usize) -> bool {
+        self.n == n
+            && self.k == cfg.k
+            && self.layout == cfg.algorithm.layout()
+            && self.has_flat == cfg.flat_force
+    }
+
+    /// Restore the state a fresh allocation over `bodies` starts with.
+    fn reset(&mut self, bodies: &[Body]) {
+        self.world.reset(bodies);
+        self.tree.reset();
+        if let Some(flat) = &self.flat {
+            flat.reset();
+        }
+        if let Some(scratch) = &self.force_scratch {
+            // Hygiene, like FlatTree::reset: evaluation only ever reads
+            // entries the same step's traversal emitted.
+            scratch.reset();
+        }
+    }
+}
+
+/// Make `slot` ready to run `cfg` over `bodies` — reset in place when its
+/// shape fits, freshly allocated otherwise — and return the state with
+/// `cfg.algorithm`'s builder, configured from `cfg`. The single allocation
+/// path of both [`crate::app::run_simulation`] (an empty slot) and
+/// [`SimEngine`] (its cached slot).
+pub(crate) fn prepare<'s, E: Env>(
+    env: &E,
+    slot: &'s mut Option<EngineState>,
+    cfg: &SimConfig,
+    bodies: &[Body],
+) -> (&'s EngineState, &'s Builder) {
+    let n = bodies.len();
+    match slot {
+        Some(st) if st.fits(cfg, n) => st.reset(bodies),
+        _ => *slot = Some(EngineState::new(env, cfg, bodies)),
+    }
+    let st = slot.as_mut().expect("state prepared above");
+    let builder = st
+        .builders
+        .entry(cfg.algorithm)
+        .or_insert_with(|| Builder::new(env, cfg.algorithm, n, cfg.k));
+    // The threshold/rebalance knobs live on the builder; set them from this
+    // job's config so a cached builder carries nothing over from the
+    // previous job.
+    builder.space_threshold = match cfg.space_threshold {
+        Some(t) => t.max(1),
+        None => crate::algorithms::space::default_threshold(n, env.num_procs(), cfg.k),
+    };
+    builder.space_rebalance = cfg.space_rebalance.max(0.0);
+    if cfg.algorithm.builds_flat_directly() {
+        // Like FlatTree::reset: keep reused-engine runs bitwise
+        // indistinguishable from fresh ones (each step overwrites every
+        // workspace slot it reads, so this is hygiene, not correctness).
+        builder.morton_scratch().reset();
+    }
+    let st: &'s EngineState = st;
+    (st, &st.builders[&cfg.algorithm])
 }
 
 /// A reusable simulation engine bound to one environment.
@@ -81,74 +175,8 @@ impl<E: Env> SimEngine<E> {
     /// Run one job and also return the final body state; see
     /// [`crate::app::run_simulation_with_state`].
     pub fn run_with_state(&mut self, cfg: &SimConfig, bodies: &[Body]) -> (RunStats, Vec<Body>) {
-        let n = bodies.len();
-        let layout = cfg.algorithm.layout();
-        let compatible = self.state.as_ref().is_some_and(|s| {
-            s.n == n && s.k == cfg.k && s.layout == layout && s.has_flat == cfg.flat_force
-        });
-        if compatible {
-            let st = self.state.as_mut().unwrap();
-            st.world.reset(bodies);
-            st.tree.reset();
-            if let Some(flat) = &st.flat {
-                flat.reset();
-            }
-            if let Some(scratch) = &st.force_scratch {
-                // Hygiene, like FlatTree::reset: evaluation only ever reads
-                // entries the same step's traversal emitted.
-                scratch.reset();
-            }
-        } else {
-            let flat = cfg
-                .flat_force
-                .then(|| FlatTree::new(&self.env, n, cfg.k, layout));
-            let force_scratch = flat
-                .as_ref()
-                .map(|f| ForceScratch::new(&self.env, f, n, self.env.num_procs()));
-            self.state = Some(EngineState {
-                n,
-                k: cfg.k,
-                layout,
-                has_flat: cfg.flat_force,
-                world: World::new(&self.env, bodies),
-                tree: SharedTree::new(&self.env, n, cfg.k, layout),
-                flat,
-                force_scratch,
-                builders: HashMap::new(),
-            });
-        }
-
-        let env = &self.env;
-        let st = self.state.as_mut().unwrap();
-        let builder = st
-            .builders
-            .entry(cfg.algorithm)
-            .or_insert_with(|| Builder::new(env, cfg.algorithm, n, cfg.k));
-        // The threshold/rebalance knobs live on the builder; recompute them
-        // from this job's config so a cached builder carries nothing over
-        // from the previous job.
-        builder.space_threshold = match cfg.space_threshold {
-            Some(t) => t.max(1),
-            None => crate::algorithms::space::default_threshold(n, env.num_procs(), cfg.k),
-        };
-        builder.space_rebalance = cfg.space_rebalance.max(0.0);
-        if cfg.algorithm.builds_flat_directly() {
-            // Like FlatTree::reset: keep reused-engine runs bitwise
-            // indistinguishable from fresh ones (each step overwrites every
-            // workspace slot it reads, so this is hygiene, not correctness).
-            builder.morton_scratch().reset();
-        }
-
-        app::execute(
-            env,
-            &self.pool,
-            cfg,
-            &st.world,
-            &st.tree,
-            st.flat.as_ref(),
-            st.force_scratch.as_ref(),
-            builder,
-        )
+        let (state, builder) = prepare(&self.env, &mut self.state, cfg, bodies);
+        app::execute(&self.env, &self.pool, cfg, state, builder)
     }
 }
 

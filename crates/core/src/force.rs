@@ -8,15 +8,17 @@
 //! computation is >97% of sequential time, which is exactly why the paper's
 //! tree-building bottleneck on commodity platforms is so surprising.
 //!
-//! Two kernels implement the phase over the flat snapshot:
+//! Two kernels implement the phase:
 //!
-//! * [`force_phase`] — the reference one-body-at-a-time explicit-stack
-//!   walk (kept as the `group_size = 0` ablation);
-//! * [`force_phase_grouped`] — the batched traversal/evaluation split:
-//!   one tree walk per group of `group_size` consecutive bodies in the
-//!   Morton-sorted zone order emits a shared interaction list into
-//!   per-processor [`ForceScratch`], then a branch-free
-//!   structure-of-arrays loop applies the list to every member.
+//! * [`force_phase_grouped`] — the default, over the flat snapshot: the
+//!   batched traversal/evaluation split. One tree walk per group of
+//!   `group_size` consecutive bodies in the Morton-sorted zone order emits
+//!   a shared interaction list into per-processor [`ForceScratch`], then a
+//!   branch-free structure-of-arrays loop applies the list to every member.
+//! * [`force_phase_recursive`] — the paper's memory pattern: every body
+//!   walks the shared linked tree recursively (`flat_force = false`). It is
+//!   the bitwise reference the grouped kernel at `group_size = 1` is
+//!   tested against.
 
 use crate::env::{Env, Placement, Region};
 use crate::math::Vec3;
@@ -80,11 +82,11 @@ fn cell_accepted(side: f64, theta2: f64, d2: f64) -> bool {
 }
 
 /// Opening criterion plus monopole interaction in one place, so
-/// [`force_phase`], [`force_phase_recursive`]'s `body_force` and
-/// `seq_walk` cannot drift: `Some(accel)` if the cell is accepted under
-/// θ², `None` if it must be opened. The arithmetic (squared distance,
-/// criterion, then [`pair_accel_eps2`]) is exactly the historical inline
-/// sequence, so accepted-cell accelerations stay bitwise identical.
+/// [`force_phase_recursive`]'s `body_force` and `seq_walk` cannot drift:
+/// `Some(accel)` if the cell is accepted under θ², `None` if it must be
+/// opened. The arithmetic (squared distance, criterion, then
+/// [`pair_accel_eps2`]) is exactly the historical inline sequence, so
+/// accepted-cell accelerations stay bitwise identical.
 #[inline]
 fn cell_interaction(
     pos: Vec3,
@@ -103,70 +105,6 @@ fn cell_interaction(
     }
 }
 
-/// Force phase for one processor over the flat snapshot: an iterative,
-/// explicit-stack walk with ε² and θ² hoisted out of the loop. Visits
-/// children in octant order (pushed in reverse), i.e. the exact pre-order
-/// DFS of [`force_phase_recursive`], so accelerations are bitwise
-/// identical. Kept as the `group_size = 0` ablation/reference for
-/// [`force_phase_grouped`]. Caller barriers afterwards.
-pub fn force_phase<E: Env>(
-    env: &E,
-    ctx: &mut E::Ctx,
-    flat: &FlatTree,
-    world: &World,
-    params: &ForceParams,
-    proc: usize,
-) {
-    let theta2 = params.theta * params.theta;
-    let eps2 = params.eps * params.eps;
-    let (s, e) = world.zone(proc);
-    let mut stack: Vec<u32> = Vec::with_capacity(64);
-    for i in s..e {
-        let b = world.order.load(env, ctx, i);
-        let pos = world.pos.load(env, ctx, b as usize);
-        let mut acc = Vec3::ZERO;
-        let mut interactions = 0u32;
-        stack.clear();
-        stack.push(0); // the root is always flat index 0
-        while let Some(idx) = stack.pop() {
-            let node = flat.nodes.load(env, ctx, idx as usize);
-            if node.is_leaf() {
-                let first = node.first as usize;
-                for j in first..first + node.count() as usize {
-                    let ob = flat.bodies.load(env, ctx, j);
-                    if ob == b {
-                        continue;
-                    }
-                    let opos = world.pos.load(env, ctx, ob as usize);
-                    let om = world.mass.load(env, ctx, ob as usize);
-                    acc += pair_accel_eps2(pos, opos, om, params.gravity, eps2);
-                    interactions += 1;
-                    env.compute(ctx, INTERACT_CYCLES);
-                }
-                continue;
-            }
-            env.compute(ctx, VISIT_CYCLES);
-            let side = 2.0 * node.half;
-            if let Some(a) =
-                cell_interaction(pos, node.com, node.mass, side, theta2, params.gravity, eps2)
-            {
-                acc += a;
-                interactions += 1;
-                env.compute(ctx, INTERACT_CYCLES);
-                continue;
-            }
-            let first = node.first as usize;
-            for j in (first..first + node.count() as usize).rev() {
-                stack.push(flat.kids.load(env, ctx, j));
-            }
-        }
-        world.acc.store(env, ctx, b as usize, acc);
-        // Exact interaction count: costzones guards against zero at read
-        // time, so no floor is applied here.
-        world.cost.store(env, ctx, b as usize, interactions);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Batched traversal/evaluation kernel.
 // ---------------------------------------------------------------------------
@@ -179,17 +117,10 @@ pub fn force_phase<E: Env>(
 /// member exactly — the margin affects performance only, never results.
 const GROUP_MARGIN: f64 = 1e-9;
 
-/// Accumulator-lane width of the batched evaluation loop. The default 4
-/// matches one AVX2 `f64` vector; the `simd` feature widens it to 8 (two
-/// vectors in flight). The lane count only changes the summation grouping
-/// at `group_size > 1`, so builds with different widths agree to the same
-/// tolerance as any other group size — and `group_size ≤ 1` is bitwise
-/// identical in both.
-#[cfg(not(feature = "simd"))]
+/// Accumulator-lane width of the batched evaluation loop: one AVX2 `f64`
+/// vector. The lane count only changes the summation grouping at
+/// `group_size > 1`; `group_size = 1` evaluates sequentially.
 pub const EVAL_LANES: usize = 4;
-/// Accumulator-lane width of the batched evaluation loop (`simd` build).
-#[cfg(feature = "simd")]
-pub const EVAL_LANES: usize = 8;
 
 /// Aggregate statistics of one processor's batched force phase:
 /// `interactions / list_entries` is the list-reuse factor (approaches the
@@ -363,12 +294,13 @@ pub fn zone_group_windows(
 /// bitmask. Because the band is resolved with each member's exact
 /// criterion and the box bounds are conservative, every body's
 /// interaction *multiset* — and its visit count, which the kernel
-/// charges as [`VISIT_CYCLES`] × popcount — is identical to
-/// [`force_phase`]'s; only the summation order differs. At
-/// `group_size = 1` the box is a point, the group test *is* the
-/// member's own criterion, the self-entry is skipped at emission, and the
-/// sequential evaluation replays the DFS order — bitwise identical to the
-/// per-body walk.
+/// charges as [`VISIT_CYCLES`] × popcount — is identical to a per-body
+/// walk's; only the summation order differs. At `group_size = 1` the box
+/// is a point, the group test *is* the member's own criterion, the
+/// self-entry is skipped at emission, and the sequential evaluation
+/// replays the DFS order — bitwise identical to the per-body walk of
+/// [`force_phase_recursive`]. `group_size` is clamped to
+/// `[1, MAX_GROUP_SIZE]`.
 ///
 /// **Evaluation** streams the dense list once per member in a
 /// structure-of-arrays loop with no masks or branches at all
@@ -482,12 +414,12 @@ pub fn force_phase_grouped<E: Env>(
                 continue;
             }
             // The members active here are exactly those whose own walk
-            // visits this cell, so the visit charge matches force_phase.
+            // visits this cell, so the visit charge matches a per-body walk.
             env.compute(ctx, VISIT_CYCLES * u64::from(mask.count_ones()));
             let side = 2.0 * node.half;
             if single {
                 // A point box: the group test is the member's own
-                // criterion, in the same squared form as `force_phase`.
+                // criterion, in the squared form `cell_interaction` uses.
                 if cell_accepted(side, theta2, mpos[0].dist_sq(node.com)) {
                     emit_entry(env, ctx, row, dlen, node.com, node.mass);
                     dlen += 1;
@@ -628,7 +560,8 @@ pub fn force_phase_grouped<E: Env>(
 
 /// Sequential list evaluation — the `group_size = 1` path. Entries are
 /// applied in emission (DFS pre-)order with the same arithmetic as the
-/// per-body walk, so the result is bitwise identical to [`force_phase`].
+/// per-body walk, so the result is bitwise identical to
+/// [`force_phase_recursive`].
 fn eval_list_seq(
     xs: &[f64],
     ys: &[f64],
@@ -816,18 +749,15 @@ fn eval_masked_lanes<const L: usize>(
 fn fold_lanes(lanes: &[f64]) -> f64 {
     match lanes.len() {
         4 => (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]),
-        8 => {
-            ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        }
         _ => lanes.iter().sum(),
     }
 }
 
 /// Force phase for one processor walking the shared tree recursively — the
-/// pre-snapshot traversal, kept as the reference for the flat walk's
-/// bitwise-equivalence test (and for `flat_force = false` ablations).
-/// Caller barriers afterwards.
+/// paper's traversal (`flat_force = false`) and the bitwise reference for
+/// [`force_phase_grouped`] at `group_size = 1`. Children are visited in
+/// octant order, the pre-order DFS the grouped kernel's explicit stack
+/// replays. Caller barriers afterwards.
 pub fn force_phase_recursive<E: Env>(
     env: &E,
     ctx: &mut E::Ctx,

@@ -20,7 +20,7 @@
 use crate::algorithms::{morton, Algorithm, Builder};
 use crate::app::{PhaseSample, ProcRecord, SimConfig};
 use crate::env::{Env, Phase};
-use crate::force::{force_phase, force_phase_grouped, force_phase_recursive, ForceScratch};
+use crate::force::{force_phase_grouped, force_phase_recursive, ForceScratch};
 use crate::math::Vec3;
 use crate::partition::{costzones, morton_reorder};
 use crate::sync::Mutex;
@@ -345,10 +345,9 @@ impl<E: Env> StepStage<E> for PartitionStage {
     }
 }
 
-/// Force computation over the flat snapshot: the batched
-/// traversal/evaluation kernel by default (`group_size ≥ 1`), the per-body
-/// flat walk in the `group_size = 0` ablation, or the recursive walk in
-/// the `flat_force = false` ablation.
+/// Force computation: the batched traversal/evaluation kernel over the flat
+/// snapshot by default, or the recursive walk over the shared tree when
+/// `flat_force` is off.
 struct ForceStage;
 
 impl<E: Env> StepStage<E> for ForceStage {
@@ -365,7 +364,7 @@ impl<E: Env> StepStage<E> for ForceStage {
         _step: u32,
     ) -> StageExtra {
         let extra = match io.flat {
-            Some(flat) if io.cfg.group_size > 0 => {
+            Some(flat) => {
                 let scratch = io
                     .force_scratch
                     .expect("the batched force kernel requires the force-list scratch");
@@ -385,10 +384,6 @@ impl<E: Env> StepStage<E> for ForceStage {
                     force_interactions: fl.interactions,
                     ..StageExtra::NONE
                 }
-            }
-            Some(flat) => {
-                force_phase(env, ctx, flat, io.world, &io.cfg.force, proc);
-                StageExtra::NONE
             }
             None => {
                 force_phase_recursive(env, ctx, io.tree, io.world, &io.cfg.force, proc);

@@ -1419,8 +1419,8 @@ pub struct MatrixSpec {
     /// Body-model seed.
     pub body_seed: u64,
     pub op_budget: u64,
-    /// Force-kernel group size (`SimConfig::group_size`): `0` explores the
-    /// per-body flat-walk ablation, `>= 1` the batched list kernel.
+    /// Batched force-kernel group size (`SimConfig::group_size`), in
+    /// `1..=`[`MAX_GROUP_SIZE`](crate::force::MAX_GROUP_SIZE).
     pub group_size: usize,
 }
 

@@ -34,9 +34,10 @@
 //!    phase) separates these writes from the force phase's reads.
 //!
 //! Child order within a node is octant order, exactly the order the
-//! recursive walk visits children in, so the flat walk performs the same
-//! floating-point operations in the same order and produces bitwise
-//! identical accelerations (enforced by `tests/flat_force.rs`).
+//! recursive walk visits children in, so the batched force kernel at
+//! `group_size = 1` performs the same floating-point operations in the
+//! same order and produces bitwise identical accelerations (enforced by
+//! `tests/flat_force.rs`).
 
 use crate::env::{Env, Placement};
 use crate::math::Vec3;

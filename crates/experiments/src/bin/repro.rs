@@ -207,12 +207,8 @@ fn main() {
             "--group-size" => {
                 i += 1;
                 group_size = Some(
-                    cliargs::parse_value(
-                        "--group-size",
-                        args.get(i).map(String::as_str),
-                        "integer >= 0; 0 = per-body walk",
-                    )
-                    .unwrap_or_else(|e| die(&e)),
+                    cliargs::parse_group_size(args.get(i).map(String::as_str))
+                        .unwrap_or_else(|e| die(&e)),
                 );
             }
             flag if flag.starts_with("--") => die(&format!("unrecognized flag '{flag}'")),

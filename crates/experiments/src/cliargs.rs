@@ -11,6 +11,8 @@
 //! the binaries wrap them in their `die()`.
 
 use crate::runner::ExperimentScale;
+use bh_core::force::MAX_GROUP_SIZE;
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 /// Fetch the value following `flag`, or a "needs a value" error.
@@ -42,12 +44,33 @@ pub fn parse_min(
     min: usize,
     expected: &str,
 ) -> Result<usize, String> {
+    parse_range(flag, value, min..=usize::MAX, expected)
+}
+
+/// Parse a numeric flag that must lie in an inclusive range.
+pub fn parse_range(
+    flag: &str,
+    value: Option<&str>,
+    range: RangeInclusive<usize>,
+    expected: &str,
+) -> Result<usize, String> {
     let n: usize = parse_value(flag, value, expected)?;
-    if n < min {
+    if !range.contains(&n) {
         let shown = value.unwrap_or_default();
         return Err(format!("invalid {flag} '{shown}' (expected {expected})"));
     }
     Ok(n)
+}
+
+/// Parse `--group-size`: the batched force kernel's group size, in
+/// `[1, MAX_GROUP_SIZE]`.
+pub fn parse_group_size(value: Option<&str>) -> Result<usize, String> {
+    parse_range(
+        "--group-size",
+        value,
+        1..=MAX_GROUP_SIZE,
+        &format!("an integer in [1, {MAX_GROUP_SIZE}]"),
+    )
 }
 
 /// Parse an `--scale` value, listing the valid names on failure.
@@ -78,7 +101,7 @@ mod tests {
 
     #[test]
     fn bad_values_are_echoed_verbatim() {
-        let err = parse_value::<usize>("--group-size", Some("1e6"), "integer >= 0").unwrap_err();
+        let err = parse_value::<usize>("--group-size", Some("1e6"), "integer >= 1").unwrap_err();
         assert!(err.contains("--group-size"), "{err}");
         assert!(err.contains("'1e6'"), "{err}");
         let err = parse_value::<f64>("--max-regress", Some("lots"), "fraction >= 0").unwrap_err();
@@ -110,6 +133,20 @@ mod tests {
         let err = parse_min("--jobs", Some("0"), 1, "integer >= 1").unwrap_err();
         assert!(err.contains("'0'"), "{err}");
         assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn group_size_is_range_checked_by_flag_name() {
+        assert_eq!(parse_group_size(Some("1")).unwrap(), 1);
+        assert_eq!(parse_group_size(Some("64")).unwrap(), 64);
+        for bad in ["0", "65", "1000"] {
+            let err = parse_group_size(Some(bad)).unwrap_err();
+            assert!(err.contains("--group-size"), "{err}");
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+            assert!(err.contains("[1, 64]"), "{err}");
+        }
+        let err = parse_group_size(None).unwrap_err();
+        assert!(err.contains("--group-size"), "{err}");
     }
 
     #[test]

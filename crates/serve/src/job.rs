@@ -104,9 +104,9 @@ impl JobSpec {
         if !(1..=MAX_K).contains(&self.k) {
             return Err(format!("k {} out of range [1, {MAX_K}]", self.k));
         }
-        if self.group_size > bh_core::force::MAX_GROUP_SIZE {
+        if !(1..=bh_core::force::MAX_GROUP_SIZE).contains(&self.group_size) {
             return Err(format!(
-                "group_size {} out of range [0, {}]",
+                "group_size {} out of range [1, {}]",
                 self.group_size,
                 bh_core::force::MAX_GROUP_SIZE
             ));
@@ -205,9 +205,15 @@ mod tests {
         let mut bad = ok.clone();
         bad.steps = 0;
         assert!(bad.validate().is_err());
-        let mut bad = ok;
+        let mut bad = ok.clone();
         bad.group_size = 1000;
         assert!(bad.validate().unwrap_err().contains("group_size"));
+        let mut bad = ok;
+        bad.group_size = 0;
+        assert_eq!(
+            bad.validate().unwrap_err(),
+            "group_size 0 out of range [1, 64]"
+        );
     }
 
     #[test]

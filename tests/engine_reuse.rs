@@ -221,3 +221,25 @@ fn engine_handles_shape_changes_between_jobs() {
         assert!(state == fresh, "n={n}: engine job diverged after realloc");
     }
 }
+
+#[test]
+fn fresh_engine_reproduces_one_shot_simulated_cycles() {
+    // One allocation path: a fresh engine lays its state out exactly as a
+    // one-shot run does, so on a simulated machine — where addresses decide
+    // cache and page placement — its first job costs the same cycles,
+    // counter for counter, per phase and per processor.
+    use bh_repro::ssmp::{platform, Machine};
+    let bodies = Model::Plummer.generate(256, 1998);
+    for alg in ALL_ALGS {
+        let cfg = job_cfg(alg);
+        let one_shot = run_simulation(&Machine::new(platform::origin2000(1), 1), &cfg, &bodies);
+        let mut engine = SimEngine::new(Machine::new(platform::origin2000(1), 1));
+        let first = engine.run(&cfg, &bodies);
+        one_shot.assert_valid();
+        first.assert_valid();
+        for (a, b) in one_shot.procs_records.iter().zip(&first.procs_records) {
+            assert_eq!(a.phases, b.phases, "{alg}: per-phase counters differ");
+            assert_eq!(a.final_stats, b.final_stats, "{alg}: final counters differ");
+        }
+    }
+}

@@ -1,17 +1,17 @@
-//! Equivalence of the force-phase kernels over the flat tree snapshot: the
-//! batched traversal/evaluation kernel, the per-body flat walk, and the
+//! Equivalence of the two force-phase kernels: the batched
+//! traversal/evaluation kernel over the flat tree snapshot and the
 //! recursive walk over the shared tree.
 //!
-//! The flat walk is an explicit-stack pre-order DFS visiting children in
-//! octant order — the exact traversal of the recursive walk — and the
-//! flatten pass prunes the same husk/empty nodes the recursive walk skips,
-//! so on a deterministic build (one processor) the floating-point operation
-//! sequence is identical and results must match **bitwise**. The batched
-//! kernel at `group_size = 1` degenerates to a per-body list applied in the
-//! same DFS order, so it joins the bitwise family; at `group_size > 1`
-//! every body's interaction *multiset* is still identical (the group
-//! bounding-sphere classification is conservative) but the summation order
-//! differs, so those runs agree to ≤1e-12 relative instead. With several
+//! At `group_size = 1` the batched kernel degenerates to a per-body list
+//! emitted by an explicit-stack pre-order DFS visiting children in octant
+//! order — the exact traversal of the recursive walk — and applied in that
+//! order; the flatten pass prunes the same husk/empty nodes the recursive
+//! walk skips, so on a deterministic build (one processor) the
+//! floating-point operation sequence is identical and results must match
+//! **bitwise**. At `group_size > 1` every body's interaction *multiset* is
+//! still identical (the group bounding-box classification is conservative)
+//! but the summation order differs, so those runs agree to ≤1e-12 relative
+//! instead. With several
 //! processors the leaf body order of the lock-based builders depends on
 //! scheduling, which reassociates leaf and center-of-mass summations; there
 //! the runs agree to the cross-algorithm suite's documented tolerance.
@@ -20,9 +20,8 @@ use bh_repro::bh_core::force::{group_window, zone_group_windows};
 use bh_repro::bh_core::prelude::*;
 use bh_repro::bh_core::rng::SmallRng;
 
-/// Run `steps` steps and return the final bodies. `group_size` selects the
-/// force kernel: `0` the per-body flat walk, `>= 1` the batched kernel
-/// (only meaningful when `flat` is true).
+/// Run `steps` steps and return the final bodies. `group_size` is the
+/// batched kernel's group size (only meaningful when `flat` is true).
 fn run_grouped(
     alg: Algorithm,
     procs: usize,
@@ -91,30 +90,18 @@ fn flat_walk_is_bitwise_identical_on_one_processor() {
 }
 
 #[test]
-fn grouped_kernel_is_bitwise_identical_at_group_size_one() {
-    // The heart of the batched kernel's correctness story: a group of one
-    // is a point sphere, the group test is the member's own criterion, the
-    // self entry is skipped at emission, and evaluation replays the DFS
-    // emission order — so `group_size = 1` must reproduce the per-body
-    // flat walk bit for bit, for all six algorithms.
-    let bodies = Model::Plummer.generate(1200, 42);
-    for alg in Algorithm::ALL {
-        let grouped = run_grouped(alg, 1, true, 1, &bodies, 3);
-        let per_body = run_grouped(alg, 1, true, 0, &bodies, 3);
-        assert_bitwise(&format!("{alg} gs=1 vs per-body"), &grouped, &per_body);
-    }
-}
-
-#[test]
 fn grouped_kernel_matches_per_body_within_tolerance() {
     // At group_size > 1 the interaction multiset is unchanged (the
     // bounding-sphere classification is conservative; the mixed band is
     // resolved per member with the exact criterion) — only the summation
     // order differs, so the drift over a few steps stays far below the
     // 1e-12 relative bound for every algorithm and several group sizes.
+    // The reference is group_size = 1, bitwise equal to the per-body walk
+    // (`flat_walk_is_bitwise_identical_on_one_processor` and the MORTON
+    // gate below).
     let bodies = Model::Plummer.generate(1000, 42);
     for alg in Algorithm::ALL {
-        let per_body = run_grouped(alg, 1, true, 0, &bodies, 2);
+        let per_body = run_grouped(alg, 1, true, 1, &bodies, 2);
         for gs in [2, 16, 33] {
             let grouped = run_grouped(alg, 1, true, gs, &bodies, 2);
             let worst = worst_rel(&grouped, &per_body);

@@ -83,6 +83,17 @@ fn hostile_input_gets_structured_errors_and_the_executor_survives() {
     let doc = Json::parse(&r).unwrap();
     assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
 
+    // A zero group size has no force kernel: rejected with the valid range.
+    let r = c
+        .request(r#"{"op":"job","id":"x","tenant":"t","n":64,"group_size":0}"#)
+        .expect("response to group_size 0");
+    let doc = Json::parse(&r).unwrap();
+    assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_request"));
+    assert!(
+        r.contains("group_size 0 out of range [1, 64]"),
+        "range not stated: {r}"
+    );
+
     // Oversized payload: explicit error, and the *same connection* still
     // serves a real job afterwards.
     let huge = format!(
