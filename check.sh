@@ -28,8 +28,13 @@ echo "== batched force kernel lane (parity + grouped matrix cells) =="
 # The grouped traversal/evaluation kernel's dedicated gates: bitwise parity
 # at group_size = 1, ≤1e-12 grouped parity across all six algorithms, the
 # group-window property test, and the group-size race/schedule cells (the
-# default matrices above already cover group_size = 16).
+# default matrices above already cover group_size = 16). flat_force runs
+# again in release, the packed-SIMD build the benchmark runs, and the
+# force module's unit tests include the chunked partial-list evaluation's
+# bitwise oracle against the full scan.
 cargo test --offline -q --test flat_force
+cargo test --release --offline -q --test flat_force
+cargo test --offline -q -p bh-core force::
 cargo test --offline -q --test race_freedom grouped_force_kernel
 cargo test --offline -q --test schedule_matrix grouped_force_kernel
 

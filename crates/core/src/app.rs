@@ -143,9 +143,13 @@ pub struct ProcRecord {
     /// Interaction-list entries the batched force kernel emitted during
     /// measured steps.
     pub force_list_entries: u64,
-    /// Pair interactions the batched force kernel evaluated from its lists
+    /// Pair interactions the batched force kernel applied from its lists
     /// during measured steps.
     pub force_interactions: u64,
+    /// Pairs the batched force kernel's evaluation loops computed during
+    /// measured steps: every interaction, plus self entries and masked-out
+    /// partial entries sharing a visited chunk with the body's own.
+    pub force_pairs_evaluated: u64,
     pub final_stats: CtxStats,
 }
 
@@ -361,13 +365,34 @@ impl RunStats {
             .sum()
     }
 
-    /// Pair interactions the batched force kernel evaluated from its lists
+    /// Pair interactions the batched force kernel applied from its lists
     /// over all processors and measured steps.
     pub fn force_interactions(&self) -> u64 {
         self.procs_records
             .iter()
             .map(|r| r.force_interactions)
             .sum()
+    }
+
+    /// Pairs the batched force kernel's evaluation loops computed over all
+    /// processors and measured steps (zero for the recursive walk).
+    pub fn force_pairs_evaluated(&self) -> u64 {
+        self.procs_records
+            .iter()
+            .map(|r| r.force_pairs_evaluated)
+            .sum()
+    }
+
+    /// Evaluation overhead: pairs computed per pair interaction applied
+    /// (1.0 would be no wasted arithmetic); `0.0` when the batched kernel
+    /// did not run.
+    pub fn force_eval_ratio(&self) -> f64 {
+        let interactions = self.force_interactions();
+        if interactions == 0 {
+            0.0
+        } else {
+            self.force_pairs_evaluated() as f64 / interactions as f64
+        }
     }
 
     /// Mean interaction-list length (entries per group traversal); `0.0`
@@ -381,7 +406,7 @@ impl RunStats {
         }
     }
 
-    /// List-reuse factor: pair interactions evaluated per emitted list
+    /// List-reuse factor: pair interactions applied per emitted list
     /// entry (approaches the group size for spatially compact groups);
     /// `0.0` when the batched kernel did not run.
     pub fn force_list_reuse(&self) -> f64 {
@@ -524,6 +549,7 @@ pub(crate) fn execute<E: Env>(
             force_groups: 0,
             force_list_entries: 0,
             force_interactions: 0,
+            force_pairs_evaluated: 0,
             final_stats: CtxStats::default(),
         };
         for step in 0..total_steps {

@@ -60,8 +60,11 @@ pub struct StageExtra {
     pub force_groups: u64,
     /// Interaction-list entries emitted by the batched kernel.
     pub force_list_entries: u64,
-    /// Pair interactions evaluated from the lists.
+    /// Pair interactions applied from the lists.
     pub force_interactions: u64,
+    /// Pairs the evaluation loops computed, including masked-out partial
+    /// entries in visited chunks and self entries.
+    pub force_pairs_evaluated: u64,
 }
 
 impl StageExtra {
@@ -71,6 +74,7 @@ impl StageExtra {
         force_groups: 0,
         force_list_entries: 0,
         force_interactions: 0,
+        force_pairs_evaluated: 0,
     };
 }
 
@@ -183,6 +187,7 @@ impl<E: Env> StepPipeline<E> {
                     rec.force_groups += extra.force_groups;
                     rec.force_list_entries += extra.force_list_entries;
                     rec.force_interactions += extra.force_interactions;
+                    rec.force_pairs_evaluated += extra.force_pairs_evaluated;
                 }
             }
             prev_stats = stats;
@@ -382,6 +387,7 @@ impl<E: Env> StepStage<E> for ForceStage {
                     force_groups: fl.groups,
                     force_list_entries: fl.list_entries,
                     force_interactions: fl.interactions,
+                    force_pairs_evaluated: fl.evaluated,
                     ..StageExtra::NONE
                 }
             }

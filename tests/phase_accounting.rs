@@ -100,8 +100,8 @@ fn warmup_steps_are_excluded_from_measured_totals() {
 
 #[test]
 fn force_list_metrics_tile_and_are_processor_count_independent() {
-    // The batched force kernel reports (groups, list entries, interactions)
-    // through StageExtra into the per-processor records. Interactions are
+    // The batched force kernel reports (groups, list entries, interactions,
+    // pairs evaluated) through StageExtra into the per-processor records. Interactions are
     // counted per *applied* body, so their total is an exact function of
     // the body set — independent of processor count and group size — while
     // group/entry totals may grow with processors (a window split across a
@@ -128,6 +128,13 @@ fn force_list_metrics_tile_and_are_processor_count_independent() {
             assert!((stats.force_list_len() - len).abs() < 1e-12);
             let reuse = stats.force_interactions() as f64 / stats.force_list_entries() as f64;
             assert!((stats.force_list_reuse() - reuse).abs() < 1e-12);
+            // Evaluation never computes fewer pairs than it applies.
+            assert!(
+                stats.force_pairs_evaluated() >= stats.force_interactions(),
+                "{procs}p gs={gs}: {} pairs evaluated < {} interactions",
+                stats.force_pairs_evaluated(),
+                stats.force_interactions()
+            );
             totals.push(stats.force_interactions());
         }
     }
@@ -154,6 +161,7 @@ fn legacy_kernels_report_no_list_metrics() {
     assert_eq!(stats.force_groups(), 0);
     assert_eq!(stats.force_list_entries(), 0);
     assert_eq!(stats.force_interactions(), 0);
+    assert_eq!(stats.force_pairs_evaluated(), 0);
     assert_eq!(stats.force_list_len(), 0.0);
     assert_eq!(stats.force_list_reuse(), 0.0);
 }
